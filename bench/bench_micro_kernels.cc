@@ -1,7 +1,8 @@
 // Micro timings of the hot kernels: Dmpm (Algorithm 3), the Dmom DP
 // (Algorithm 4), grid/Z-order operations, TAS membership, R-tree
-// incremental NN, and one whole ATSQ query — now on the repo's own JSON
-// harness protocol (BENCH_micro_kernels.json) instead of the optional
+// incremental NN, the CRC-32 block/frame verify, and one whole ATSQ
+// query — now on the repo's own JSON harness protocol
+// (BENCH_micro_kernels.json) instead of the optional
 // google-benchmark dependency, so the records diff in CI like every
 // other bench. Timings are wall-clock and therefore advisory
 // (--skip-timing in diffs); what the baseline pins is the record set
@@ -17,6 +18,7 @@
 #include "gat/core/order_match.h"
 #include "gat/core/point_match.h"
 #include "gat/geo/zorder.h"
+#include "gat/index/snapshot_format.h"
 #include "gat/rtree/rtree.h"
 #include "gat/util/rng.h"
 
@@ -204,6 +206,19 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
       for (int i = 0; i < 100; ++i) it.Next(&e, &d);
       DoNotOptimize(d);
     });
+  }
+
+  // --------------------------------------------------------- CRC-32 verify
+  // One 4 KiB cache block (the verify behind every disk-tier cache fill)
+  // and a GATW-frame-sized payload.
+  for (const size_t bytes : {size_t{4096}, size_t{256}}) {
+    Rng rng(6);
+    std::vector<char> block(bytes);
+    for (char& b : block) b = static_cast<char>(rng.NextU32(256));
+    Report(proto, report, "crc32/bytes=" + std::to_string(bytes),
+           bytes == 4096 ? 20000 : 200000, [&block] {
+             DoNotOptimize(snapshot_format::Crc32(block.data(), block.size()));
+           });
   }
 
   // ------------------------------------------------------ whole ATSQ query

@@ -34,10 +34,11 @@ Executor& Executor::Default() {
 
 void Executor::Enqueue(QueuedTask task, TaskPriority priority) {
   tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queues_[static_cast<size_t>(priority)].push_back(std::move(task));
-  }
+  // Wake under the lock: Deferred::Resume enqueues from I/O completion
+  // threads, and once the task is visible it can run, finish its group
+  // and let the owner destroy this executor before a late wake-up.
+  std::lock_guard<std::mutex> lock(mu_);
+  queues_[static_cast<size_t>(priority)].push_back(std::move(task));
   cv_.notify_one();
 }
 

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "gat/common/check.h"
+#include "gat/common/notification.h"
 #include "gat/index/snapshot_format.h"
 
 #if defined(__linux__)
@@ -324,10 +325,10 @@ void AsyncBlockIo::SubmitRead(int fd, uint64_t offset, void* buf, uint32_t len,
     std::lock_guard<std::mutex> lock(submit_mu_);
     UringSubmitLocked(request);
   } else {
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      pool_queue_.push_back(request);
-    }
+    // Wake under the lock: once the request is visible a worker can
+    // complete it and a concurrent Drain() + destructor can run.
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    pool_queue_.push_back(request);
     pool_cv_.notify_one();
   }
 }
@@ -340,10 +341,11 @@ void AsyncBlockIo::Complete(Request* request, int64_t result) {
   delete request;
   done(result);
   reads_completed_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    --inflight_;
-  }
+  // Wake under the lock: a Drain() that sees zero may return the moment
+  // the lock is released. Only the destructor's worker/reaper join keeps
+  // inflight_cv_ alive past that point; the wake must not rely on it.
+  std::lock_guard<std::mutex> lock(inflight_mu_);
+  --inflight_;
   inflight_cv_.notify_all();
 }
 
@@ -574,21 +576,12 @@ void AsyncDiskTier::FinalizeGroup(BlockGroup* group) const {
 void AsyncDiskTier::ReadBlocksBlocking(std::vector<uint64_t> blocks,
                                        bool prefetch) const {
   if (blocks.empty()) return;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool finished = false;
-  SubmitBlockReads(
-      std::move(blocks),
-      [&] {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          finished = true;
-        }
-        cv.notify_one();
-      },
-      prefetch);
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return finished; });
+  // The event lives in this frame and the completion signals it from the
+  // I/O thread. Notification wakes us under its lock, so the signal can
+  // never land after we returned and reused the frame.
+  Notification done;
+  SubmitBlockReads(std::move(blocks), [&done] { done.Notify(); }, prefetch);
+  done.Wait();
 }
 
 AsyncTierStats AsyncDiskTier::stats() const {

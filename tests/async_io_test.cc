@@ -9,6 +9,8 @@
 //   * an AsyncDiskTier answers bit-identically to the MappedDiskTier
 //     (and the simulated tier) with equal logical disk_reads and equal
 //     per-block counters — the physics changed, the accounting did not;
+//   * a blocking fetch's wait cannot return while the completion that
+//     signals it is still touching the waiter's frame;
 //   * staging makes subsequent demand fetches stall-free, and the
 //     staged engine path (executor + IoStager) returns bit-identical
 //     batches while yielding cold queries instead of blocking workers.
@@ -19,12 +21,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "gat/common/notification.h"
 #include "gat/datagen/checkin_generator.h"
 #include "gat/datagen/query_generator.h"
 #include "gat/engine/executor.h"
@@ -272,6 +277,42 @@ TEST(AsyncDiskTier, ColdDemandFetchCountsOneStall) {
   // Same extent again: resident now, no new stall.
   tier->Fetch(extent.first, extent.second, &counter);
   EXPECT_EQ(tier->stats().worker_stalls, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Notification: the frame-local event a blocking Fetch/Prefetch parks its
+// worker on until the I/O completion thread signals it
+// ---------------------------------------------------------------------------
+
+TEST(Notification, WaiterCannotReturnWhileTheNotifierIsStillInside) {
+  // Forces the interleaving behind the staged-I/O stack corruption: the
+  // flag is already set when the waiter checks it, but the notifier has
+  // not finished waking it. The hook parks the notifier in exactly that
+  // window for up to 200 ms and records whether the waiter got out
+  // meanwhile. With a wake-after-unlock it always does — it sees the
+  // flag without blocking, returns, and the late wake-up then writes
+  // into its dead frame. With the wake under the lock it never can.
+  Notification event;
+  std::atomic<bool> in_window{false};
+  std::atomic<bool> waiter_returned{false};
+  bool returned_inside_window = true;
+  std::thread notifier([&] {
+    event.Notify([&] {
+      in_window.store(true);
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+      while (!waiter_returned.load() &&
+             std::chrono::steady_clock::now() < until) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      returned_inside_window = waiter_returned.load();
+    });
+  });
+  while (!in_window.load()) std::this_thread::yield();
+  event.Wait();
+  waiter_returned.store(true);
+  notifier.join();
+  EXPECT_FALSE(returned_inside_window);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -15,7 +16,9 @@
 #include "gat/datagen/checkin_generator.h"
 #include "gat/datagen/query_generator.h"
 #include "gat/engine/executor.h"
+#include "gat/index/snapshot_format.h"
 #include "gat/search/gat_search.h"
+#include "gat/util/rng.h"
 
 namespace gat {
 namespace {
@@ -24,10 +27,12 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-// Stand-alone CRC-32 (IEEE), matching snapshot.cc's, so tests can forge
-// a valid checksum over corrupted payload bytes and prove the structural
-// validators reject what the CRC no longer can.
-uint32_t TestCrc32(const char* data, size_t size) {
+// Stand-alone byte-wise CRC-32 (IEEE), independent of the slicing-by-8
+// snapshot_format::Crc32: the reference its conformance tests check
+// against, and the way tests forge a valid checksum over corrupted
+// payload bytes to prove the structural validators reject what the CRC
+// no longer can. TestCrc32Update works on the raw (unconditioned) state.
+uint32_t TestCrc32Update(uint32_t crc, const char* data, size_t size) {
   static const auto table = [] {
     std::array<uint32_t, 256> t{};
     for (uint32_t byte = 0; byte < 256; ++byte) {
@@ -39,11 +44,21 @@ uint32_t TestCrc32(const char* data, size_t size) {
     }
     return t;
   }();
-  uint32_t crc = 0xFFFFFFFFu;
   for (size_t i = 0; i < size; ++i) {
     crc = (crc >> 8) ^ table[(crc ^ static_cast<unsigned char>(data[i])) & 0xFF];
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+uint32_t TestCrc32(const char* data, size_t size) {
+  return TestCrc32Update(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
+}
+
+std::vector<char> RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<char> bytes(size);
+  for (char& b : bytes) b = static_cast<char>(rng.NextU32(256));
+  return bytes;
 }
 
 std::vector<Query> TestQueries(const Dataset& dataset, uint64_t seed) {
@@ -381,6 +396,57 @@ TEST(Snapshot, TruncationAnywhereIsRejected) {
   }
   std::remove(cut.c_str());
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 conformance: the slicing-by-8 kernel against the byte-wise
+// reference, through its word path, its tail, and every alignment.
+// ---------------------------------------------------------------------------
+
+TEST(Crc32, KnownAnswer) {
+  const char kCheck[] = "123456789";
+  EXPECT_EQ(snapshot_format::Crc32(kCheck, 9), 0xCBF43926u);
+  EXPECT_EQ(TestCrc32(kCheck, 9), 0xCBF43926u);
+  EXPECT_EQ(snapshot_format::Crc32(kCheck, 0), 0u);
+}
+
+TEST(Crc32, MatchesByteWiseReferenceAtEveryLengthAndOffset) {
+  // Two cache blocks plus a 15-byte tail: every residue mod 8 of the
+  // length meets every residue mod 8 of the start address, so each
+  // 8-byte-step / tail split and each misaligned word load is exercised.
+  constexpr size_t kMaxLen = 2 * 4096 + 15;
+  const std::vector<char> bytes = RandomBytes(kMaxLen + 8, 0xC3C32);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const char* base = bytes.data() + offset;
+    uint32_t reference = 0xFFFFFFFFu;  // byte-wise state of base[0, len)
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) reference = TestCrc32Update(reference, base + len - 1, 1);
+      const uint32_t got = snapshot_format::Crc32(base, len);
+      if (got != (reference ^ 0xFFFFFFFFu)) {
+        FAIL() << "offset " << offset << " length " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32, UpdateChainsAcrossArbitrarySplits) {
+  const std::vector<char> bytes = RandomBytes(3 * 4096 + 5, 0x5EED);
+  const uint32_t whole = TestCrc32(bytes.data(), bytes.size());
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<size_t> cuts = {0, bytes.size()};
+    const uint32_t pieces = 1 + rng.NextU32(8);
+    for (uint32_t i = 1; i < pieces; ++i) {
+      cuts.push_back(rng.NextU64(bytes.size() + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      crc = snapshot_format::Crc32Update(crc, bytes.data() + cuts[i],
+                                         cuts[i + 1] - cuts[i]);
+    }
+    EXPECT_EQ(crc ^ 0xFFFFFFFFu, whole) << "trial " << trial;
+  }
 }
 
 }  // namespace
